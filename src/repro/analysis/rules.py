@@ -404,9 +404,9 @@ class PrintInLibraryRule(Rule):
 class DirectPhaseTimingRule(Rule):
     """Harness-side wall timing must go through the obs layer.
 
-    The lab and harness measure phases with ``repro.util.timing`` /
-    ``repro.obs.phases`` so every measurement shares one clock and
-    lands in the profiler's report. Ad-hoc ``time.perf_counter()``
+    The lab and harness measure phases with
+    ``repro.util.timing.Stopwatch`` or ``repro.obs.spans.SpanCollector``
+    so every measurement shares one clock. Ad-hoc ``time.perf_counter()``
     pairs drift out of the report and get copy-pasted wrong
     (``time.time`` and ``time.sleep`` are unaffected — they are
     timestamps and pacing, not phase timing).
@@ -417,10 +417,10 @@ class DirectPhaseTimingRule(Rule):
     description = (
         "no direct time.perf_counter/monotonic/process_time phase "
         "timing in lab/ or harness/; use util.timing.Stopwatch or "
-        "obs.phases"
+        "SpanCollector"
     )
     scope = ("lab", "harness")
-    exempt = ("util/timing.py", "obs/phases.py")
+    exempt = ("util/timing.py",)
 
     _TIMERS = {
         "perf_counter",
@@ -442,7 +442,7 @@ class DirectPhaseTimingRule(Rule):
                             ctx, node,
                             f"direct import of time.{alias.name}; time "
                             "phases with util.timing.Stopwatch or "
-                            "obs.phases.PhaseProfiler",
+                            "SpanCollector",
                         )
             elif isinstance(node, ast.Attribute):
                 dotted = _dotted(node)
@@ -452,7 +452,7 @@ class DirectPhaseTimingRule(Rule):
                     yield self.violation(
                         ctx, node,
                         f"direct {dotted}() phase timing; use "
-                        "util.timing.Stopwatch or obs.phases.PhaseProfiler",
+                        "util.timing.Stopwatch or SpanCollector",
                     )
 
 

@@ -145,6 +145,7 @@ def _export_trace(args: argparse.Namespace, console: Console) -> None:
     from repro.obs import runtime as obs_runtime
     from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.tracer import RecordingTracer
+    from repro.pipeline.events import EVENT_CLASSES
 
     tracer = obs_runtime.drain_trace()
     if tracer is None:
@@ -152,7 +153,7 @@ def _export_trace(args: argparse.Namespace, console: Console) -> None:
     counts = tracer.counts()
     summary = "  ".join(
         f"{kind}={counts.get(kind, 0)}"
-        for kind in ("bpred", "icache", "long_dmiss")
+        for kind in EVENT_CLASSES
     )
     console.info(
         f"trace spans: {summary}  instants={len(tracer.instants)}"
@@ -742,39 +743,37 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulate+analyze pass and report phase wall times."""
-    from repro.obs import runtime as obs_runtime
+    """Time one generate+simulate+analyze pass, layer by layer."""
+    from repro.obs.spans import SpanCollector, layer_table
 
     console = _console(args)
     config = _config_from(args)
-    obs_runtime.enable_profiling()
-    prof = obs_runtime.current_profiler()
-    with prof.phase("cli.trace_gen"):
-        trace = _trace_from(args)
-    with prof.phase("cli.simulate"):
-        if args.inorder:
-            from repro.pipeline.inorder import simulate_inorder
+    collector = SpanCollector(process="profile")
+    trace_id = collector.new_trace_id()
 
-            result = simulate_inorder(trace, config)
-        else:
-            result = simulate(trace, config)
-    with prof.phase("cli.analyze"):
+    def timed(layer, fn, *fn_args):
+        span = collector.start(layer, trace_id=trace_id, parent_id=None)
+        try:
+            return fn(*fn_args)
+        finally:
+            collector.finish(span)
+
+    def analyze(result):
         measure_penalties(result)
         build_cpi_stack(result, config.dispatch_width)
+
+    if args.inorder:
+        from repro.pipeline.inorder import simulate_inorder as run_core
+    else:
+        run_core = simulate
+    trace = timed("trace_gen", _trace_from, args)
+    result = timed("simulate", run_core, trace, config)
+    timed("analyze", analyze, result)
     if args.fast:
         from repro.interval.fast_sim import FastIntervalSimulator
 
-        FastIntervalSimulator(config).estimate(trace)
-    report = obs_runtime.drain_profile()
-    obs_runtime.reset()
-    if report is None:
-        console.result("(no phases recorded)")
-        return 0
-    console.info(
-        "note: cli.simulate wraps the core.* phases, so the core rows "
-        "are a breakdown of it, not additional time"
-    )
-    console.result(report.render().rstrip("\n"))
+        timed("fast", FastIntervalSimulator(config).estimate, trace)
+    console.result(layer_table(collector.drain()).rstrip("\n"))
     return 0
 
 
@@ -1242,8 +1241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile", parents=[common],
-        help="phase-timer report: where the wall time of one "
-        "simulate+analyze pass goes",
+        help="layer-span report: where the wall time of one "
+        "generate+simulate+analyze pass goes",
     )
     p.add_argument("--workload", help="SPEC-like workload name")
     p.add_argument("--kernel", help="microbenchmark kernel name")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.pipeline.events import (
+    EVENT_CLASSES,
     BranchMispredictEvent,
     ICacheMissEvent,
     LongDMissEvent,
@@ -19,26 +20,25 @@ from repro.pipeline.events import (
 )
 from repro.pipeline.result import SimulationResult
 
-_EVENT_KINDS = {
-    "bpred": BranchMispredictEvent,
-    "icache": ICacheMissEvent,
-    "long_dmiss": LongDMissEvent,
-}
-
 
 def _event_to_payload(event: MissEvent) -> Dict[str, Any]:
     if isinstance(event, BranchMispredictEvent):
-        return {
-            "k": "bpred",
+        payload = {
+            "k": event.tag,
             "seq": event.seq,
             "cycle": event.cycle,
             "resolve_cycle": event.resolve_cycle,
             "refill_cycles": event.refill_cycles,
             "window_occupancy": event.window_occupancy,
         }
+        # Only ghost-dispatch runs count wrong-path instructions; leaving
+        # the zero out keeps every other stored payload unchanged.
+        if event.wrong_path_instructions:
+            payload["wrong_path_instructions"] = event.wrong_path_instructions
+        return payload
     if isinstance(event, ICacheMissEvent):
         return {
-            "k": "icache",
+            "k": event.tag,
             "seq": event.seq,
             "cycle": event.cycle,
             "latency": event.latency,
@@ -46,7 +46,7 @@ def _event_to_payload(event: MissEvent) -> Dict[str, Any]:
         }
     if isinstance(event, LongDMissEvent):
         return {
-            "k": "long_dmiss",
+            "k": event.tag,
             "seq": event.seq,
             "cycle": event.cycle,
             "complete_cycle": event.complete_cycle,
@@ -58,7 +58,7 @@ def _event_from_payload(payload: Dict[str, Any]) -> MissEvent:
     data = dict(payload)
     kind = data.pop("k")
     try:
-        cls = _EVENT_KINDS[kind]
+        cls = EVENT_CLASSES[kind]
     except KeyError:
         raise ValueError(f"unknown event kind {kind!r}") from None
     return cls(**data)

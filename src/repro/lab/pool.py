@@ -213,7 +213,7 @@ def _obs_setup(
     """
     if not (collect_metrics or trace):
         return lambda: None
-    watched = (_obs.ENV_METRICS, _obs.ENV_TRACE, _obs.ENV_PROFILE, _obs.ENV_TRACE_DIR)
+    watched = (_obs.ENV_METRICS, _obs.ENV_TRACE, _obs.ENV_TRACE_DIR)
     previous = {key: os.environ.get(key) for key in watched}
     _obs.enable_metrics()
     if trace:

@@ -1,18 +1,23 @@
 """repro.obs — zero-cost-when-disabled observability.
 
-Three pillars, all off by default:
+Two ambient pillars, both off by default:
 
-* :mod:`repro.obs.tracer` — per-miss-event spans and interval-boundary
-  instants, exportable to Perfetto (Chrome trace JSON) and JSONL.
+* :mod:`repro.obs.tracer` — the miss events of observed runs plus
+  interval-boundary instants, exportable to Perfetto (Chrome trace
+  JSON) and JSONL.
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms whose
   snapshots merge across lab pool workers into run manifests.
-* :mod:`repro.obs.phases` — wall-time phase timers for the simulator
-  hot loops, surfaced by ``repro profile``.
+
+Both are derived from finished results by
+:func:`repro.obs.runtime.observe`, never from hooks in the simulators'
+cycle loops. Wall time is measured with one mechanism,
+:mod:`repro.obs.spans`: request spans in the serve plane and layer
+spans in ``repro profile``.
 
 Activation is ambient (:mod:`repro.obs.runtime`): CLI flags or the
-``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` environment
-variables, which lab worker processes inherit. See
-``docs/observability.md`` for the trace schema and naming conventions.
+``REPRO_TRACE`` / ``REPRO_METRICS`` environment variables, which lab
+worker processes inherit. See ``docs/observability.md`` for the trace
+schema and naming conventions.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from repro.obs.metrics import (
     render_snapshot,
     validate_metric_name,
 )
-from repro.obs.phases import PhaseProfiler, PhaseReport, PhaseRow
 from repro.obs.spans import (
     SPAN_STATUSES,
     STACK_COMPONENTS,
@@ -50,16 +54,7 @@ from repro.obs.spans import (
     merge_span_snapshots,
     span_from_dict,
 )
-from repro.obs.tracer import (
-    KIND_BPRED,
-    KIND_ICACHE,
-    KIND_LONG_DMISS,
-    SPAN_KINDS,
-    InstantEvent,
-    MissSpan,
-    RecordingTracer,
-    Tracer,
-)
+from repro.obs.tracer import InstantEvent, RecordingTracer, Tracer
 
 __all__ = [
     "DEFAULT_EDGES",
@@ -88,15 +83,7 @@ __all__ = [
     "merge_snapshots",
     "render_snapshot",
     "validate_metric_name",
-    "PhaseProfiler",
-    "PhaseReport",
-    "PhaseRow",
-    "KIND_BPRED",
-    "KIND_ICACHE",
-    "KIND_LONG_DMISS",
-    "SPAN_KINDS",
     "InstantEvent",
-    "MissSpan",
     "RecordingTracer",
     "Tracer",
 ]

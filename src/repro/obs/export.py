@@ -16,21 +16,22 @@ Layout (one process, one thread per event family):
 * tid 4 ``intervals`` — instant (``"i"``) markers at interval
   boundaries.
 
-The JSONL export is one JSON object per line (spans then instants, in
-emission order) for programmatic analysis without a trace viewer.
+The JSONL export is one JSON object per line (miss-event spans then
+instants, in emission order) for programmatic analysis without a trace
+viewer.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
-from repro.obs.tracer import (
-    KIND_BPRED,
-    KIND_ICACHE,
-    KIND_LONG_DMISS,
-    RecordingTracer,
+from repro.obs.tracer import RecordingTracer
+from repro.pipeline.events import (
+    BranchMispredictEvent,
+    ICacheMissEvent,
+    MissEvent,
 )
 from repro.resilience.atomic import atomic_write_text
 
@@ -71,18 +72,32 @@ def _metadata_events(label: str) -> List[dict]:
     return events
 
 
+def _span_end(event: MissEvent) -> Tuple[int, int]:
+    """``(resolve cycle, refill cycles)`` of a miss event's span.
+
+    A mispredict's span runs dispatch → resolve → end of the frontend
+    refill, so its duration is the penalty; I-cache and long D-cache
+    misses span their latency with no refill.
+    """
+    if isinstance(event, BranchMispredictEvent):
+        return event.resolve_cycle, event.refill_cycles
+    if isinstance(event, ICacheMissEvent):
+        return event.cycle + event.latency, 0
+    return event.complete_cycle, 0
+
+
 def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> List[dict]:
     """Flatten a recording into trace-event dicts (metadata first)."""
     events = _metadata_events(label)
-    for span in tracer.spans:
-        if span.kind == KIND_BPRED:
+    for event in tracer.events:
+        if isinstance(event, BranchMispredictEvent):
             args = {
-                "seq": span.seq,
-                "resolution_cycles": span.resolution,
-                "refill_cycles": span.refill_cycles,
-                "penalty_cycles": span.duration,
-                "wrong_path_instructions": span.wrong_path_instructions,
-                "window_occupancy": span.window_occupancy,
+                "seq": event.seq,
+                "resolution_cycles": event.resolution,
+                "refill_cycles": event.refill_cycles,
+                "penalty_cycles": event.penalty,
+                "wrong_path_instructions": event.wrong_path_instructions,
+                "window_occupancy": event.window_occupancy,
             }
             events.append(
                 {
@@ -91,8 +106,8 @@ def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> Li
                     "tid": TID_BPRED,
                     "name": "mispredict",
                     "cat": "bpred",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.duration,
+                    "ts": event.cycle,
+                    "dur": event.penalty,
                     "args": args,
                 }
             )
@@ -103,12 +118,12 @@ def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> Li
                     "tid": TID_BPRED,
                     "name": "resolve",
                     "cat": "bpred",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.resolution,
-                    "args": {"seq": span.seq},
+                    "ts": event.cycle,
+                    "dur": event.resolution,
+                    "args": {"seq": event.seq},
                 }
             )
-            if span.refill_cycles > 0:
+            if event.refill_cycles > 0:
                 events.append(
                     {
                         "ph": "X",
@@ -116,12 +131,12 @@ def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> Li
                         "tid": TID_BPRED,
                         "name": "refill",
                         "cat": "bpred",
-                        "ts": span.resolve_cycle,
-                        "dur": span.refill_cycles,
-                        "args": {"seq": span.seq},
+                        "ts": event.resolve_cycle,
+                        "dur": event.refill_cycles,
+                        "args": {"seq": event.seq},
                     }
                 )
-        elif span.kind == KIND_ICACHE:
+        elif isinstance(event, ICacheMissEvent):
             events.append(
                 {
                     "ph": "X",
@@ -129,28 +144,30 @@ def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> Li
                     "tid": TID_ICACHE,
                     "name": "icache_miss",
                     "cat": "icache",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.duration,
-                    "args": {"seq": span.seq},
+                    "ts": event.cycle,
+                    "dur": event.latency,
+                    "args": {"seq": event.seq},
                 }
             )
-        elif span.kind == KIND_LONG_DMISS:
+        else:
             common = {
                 "pid": PID,
                 "tid": TID_LONG_DMISS,
                 "name": "long_dmiss",
                 "cat": "dmiss",
-                "id": span.seq,
+                "id": event.seq,
             }
             events.append(
                 {
                     "ph": "b",
-                    "ts": span.dispatch_cycle,
-                    "args": {"seq": span.seq, "latency": span.duration},
+                    "ts": event.cycle,
+                    "args": {"seq": event.seq, "latency": event.latency},
                     **common,
                 }
             )
-            events.append({"ph": "e", "ts": span.end_cycle, "args": {}, **common})
+            events.append(
+                {"ph": "e", "ts": event.complete_cycle, "args": {}, **common}
+            )
     for instant in tracer.instants:
         events.append(
             {
@@ -197,7 +214,7 @@ def chrome_trace_events_from_spans(
 ) -> List[dict]:
     """Trace events for request-scoped spans (:mod:`repro.obs.spans`).
 
-    Unlike the single-process MissSpan layout above, request spans are
+    Unlike the single-process miss-event layout above, request spans are
     *cross-process*: the event loop, its worker threads, and the shard
     pool workers each record under their own ``(process, pid)``. Each
     distinct pair becomes one Perfetto process row (metadata first, in
@@ -283,18 +300,22 @@ def write_chrome_trace_spans(
 
 
 def jsonl_records(tracer: RecordingTracer) -> Iterator[dict]:
-    """One flat JSON-safe dict per span/instant, in emission order."""
-    for span in tracer.spans:
+    """One flat JSON-safe dict per miss event/instant, in emission order."""
+    for event in tracer.events:
+        resolve_cycle, refill_cycles = _span_end(event)
+        bpred = isinstance(event, BranchMispredictEvent)
         yield {
             "type": "span",
-            "kind": span.kind,
-            "seq": span.seq,
-            "dispatch_cycle": span.dispatch_cycle,
-            "resolve_cycle": span.resolve_cycle,
-            "refill_cycles": span.refill_cycles,
-            "duration_cycles": span.duration,
-            "wrong_path_instructions": span.wrong_path_instructions,
-            "window_occupancy": span.window_occupancy,
+            "kind": event.tag,
+            "seq": event.seq,
+            "dispatch_cycle": event.cycle,
+            "resolve_cycle": resolve_cycle,
+            "refill_cycles": refill_cycles,
+            "duration_cycles": resolve_cycle + refill_cycles - event.cycle,
+            "wrong_path_instructions": (
+                event.wrong_path_instructions if bpred else 0
+            ),
+            "window_occupancy": event.window_occupancy if bpred else 0,
         }
     for instant in tracer.instants:
         record = {"type": "instant", "name": instant.name, "cycle": instant.cycle}

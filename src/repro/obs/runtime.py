@@ -1,16 +1,18 @@
 """Ambient activation for the observability pillars.
 
 Mirrors the sanitizer's ambient-state pattern
-(:mod:`repro.analysis.sanitizer`): each pillar — tracing, metrics,
-profiling — has a forced flag (set by CLI switches / tests) that wins
-over an environment variable (``REPRO_TRACE`` / ``REPRO_METRICS`` /
-``REPRO_PROFILE``, inherited by lab worker processes).
+(:mod:`repro.analysis.sanitizer`): tracing and metrics each have a
+forced flag (set by CLI switches / tests) that wins over an environment
+variable (``REPRO_TRACE`` / ``REPRO_METRICS``, inherited by lab worker
+processes).
 
-Hot paths call ``current_tracer()`` / ``current_metrics()`` /
-``current_profiler()`` once per run and branch on ``None``, so a
-disabled pillar costs one environment lookup per simulation and a few
-``is not None`` checks per loop iteration — the <3% overhead budget
-guarded by ``benchmarks/bench_obs_overhead.py``.
+The detailed cores carry no hooks in their cycle loops. Every finished
+:class:`~repro.pipeline.result.SimulationResult` is handed to
+:func:`observe` once, which derives the miss-event trace and the
+``core.*`` metrics from ``result.events`` and the result's counters —
+so what an observed run executes is exactly what an unobserved one
+does, on every backend. Other layers call ``current_tracer()`` /
+``current_metrics()`` once per call and branch on ``None``.
 
 ``drain_*`` returns the collected data and opens a fresh window; the
 lab's ``execute_job`` drains per job so worker snapshots stay separate
@@ -20,30 +22,29 @@ until :func:`repro.obs.metrics.merge_snapshots` folds them together.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.obs import context as obs_context
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.phases import PhaseProfiler, PhaseReport
 from repro.obs.tracer import RecordingTracer
+
+if TYPE_CHECKING:
+    from repro.pipeline.result import SimulationResult
 
 ENV_TRACE = "REPRO_TRACE"
 ENV_METRICS = "REPRO_METRICS"
-ENV_PROFILE = "REPRO_PROFILE"
 #: Optional directory where lab workers write per-job JSONL traces.
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 
 _TRACE = "trace"
 _METRICS = "metrics"
-_PROFILE = "profile"
 
-_ENV_BY_PILLAR = {_TRACE: ENV_TRACE, _METRICS: ENV_METRICS, _PROFILE: ENV_PROFILE}
+_ENV_BY_PILLAR = {_TRACE: ENV_TRACE, _METRICS: ENV_METRICS}
 
-_forced: Dict[str, Optional[bool]] = {_TRACE: None, _METRICS: None, _PROFILE: None}
+_forced: Dict[str, Optional[bool]] = {_TRACE: None, _METRICS: None}
 
 _ambient_tracer: Optional[RecordingTracer] = None
 _ambient_metrics: Optional[MetricsRegistry] = None
-_ambient_profiler: Optional[PhaseProfiler] = None
 
 
 def _enabled(pillar: str) -> bool:
@@ -72,10 +73,6 @@ def metrics_enabled() -> bool:
     return _enabled(_METRICS)
 
 
-def profiling_enabled() -> bool:
-    return _enabled(_PROFILE)
-
-
 def enable_tracing() -> None:
     """Force-enable tracing and export it to child worker processes."""
     _enable(_TRACE)
@@ -83,10 +80,6 @@ def enable_tracing() -> None:
 
 def enable_metrics() -> None:
     _enable(_METRICS)
-
-
-def enable_profiling() -> None:
-    _enable(_PROFILE)
 
 
 def disable_tracing() -> None:
@@ -97,17 +90,13 @@ def disable_metrics() -> None:
     _disable(_METRICS)
 
 
-def disable_profiling() -> None:
-    _disable(_PROFILE)
-
-
 def reset() -> None:
     """Drop forced flags, ambient collectors, and the env switches.
 
     Tests call this (directly or via the autouse fixture) so one test's
     tracing session cannot leak into the next.
     """
-    global _ambient_tracer, _ambient_metrics, _ambient_profiler
+    global _ambient_tracer, _ambient_metrics
     for pillar in _forced:
         _forced[pillar] = None
         os.environ.pop(_ENV_BY_PILLAR[pillar], None)
@@ -115,7 +104,6 @@ def reset() -> None:
     obs_context.clear_env()
     _ambient_tracer = None
     _ambient_metrics = None
-    _ambient_profiler = None
 
 
 def current_tracer() -> Optional[RecordingTracer]:
@@ -138,14 +126,48 @@ def current_metrics() -> Optional[MetricsRegistry]:
     return _ambient_metrics
 
 
-def current_profiler() -> Optional[PhaseProfiler]:
-    """The ambient phase profiler, or None when profiling is inactive."""
-    global _ambient_profiler
-    if not _enabled(_PROFILE):
-        return None
-    if _ambient_profiler is None:
-        _ambient_profiler = PhaseProfiler()
-    return _ambient_profiler
+def observe(result: "SimulationResult", *, out_of_order: bool = True) -> None:
+    """Publish one finished simulation to the ambient tracer and metrics.
+
+    Tracing appends ``result.events`` in order. Metrics count the miss
+    events, histogram each mispredict's resolution and penalty, and add
+    the instruction and cycle totals; ``out_of_order`` results also
+    report wrong-path squashes and the ROB occupancy peak, which an
+    in-order core does not have.
+    """
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.record(result.events)
+    metrics = current_metrics()
+    if metrics is None:
+        return
+    # repro.pipeline imports this module, so its event classes are
+    # looked up at call time (once per simulation) to keep imports acyclic.
+    from repro.pipeline.events import BranchMispredictEvent, ICacheMissEvent
+
+    mispredicts = metrics.counter("core.mispredicts_total")
+    resolution = metrics.histogram("core.resolution_cycles")
+    penalty = metrics.histogram("core.penalty_cycles")
+    icache = metrics.counter("core.icache_misses_total")
+    long_dmiss = metrics.counter("core.long_dmisses_total")
+    for event in result.events:
+        if isinstance(event, BranchMispredictEvent):
+            mispredicts.inc()
+            resolution.add(event.resolution)
+            penalty.add(event.penalty)
+        elif isinstance(event, ICacheMissEvent):
+            icache.inc()
+        else:
+            long_dmiss.inc()
+    metrics.counter("core.instructions_total").inc(result.instructions)
+    metrics.counter("core.cycles_total").inc(result.cycles)
+    if out_of_order:
+        metrics.counter("core.wrongpath_squashed_total").inc(
+            result.squashed_ghosts
+        )
+        metrics.gauge("core.rob_occupancy_peak").set_max(
+            result.rob_peak_occupancy
+        )
 
 
 def drain_trace() -> Optional[RecordingTracer]:
@@ -169,19 +191,6 @@ def drain_metrics() -> Optional[dict]:
     if not any(snapshot.values()):
         return None
     return snapshot
-
-
-def drain_profile() -> Optional[PhaseReport]:
-    """Return the ambient phase report and start fresh."""
-    global _ambient_profiler
-    profiler = _ambient_profiler
-    _ambient_profiler = None
-    if profiler is None:
-        return None
-    report = profiler.report()
-    if not report.rows:
-        return None
-    return report
 
 
 def trace_dir() -> Optional[str]:

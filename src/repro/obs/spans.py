@@ -1,6 +1,6 @@
 """Request-scoped spans, latency stacks, and flame folding.
 
-Where :mod:`repro.obs.tracer` records *simulated* time (MissSpan
+Where :mod:`repro.obs.tracer` records *simulated* time (miss-event
 timestamps are cycles), this module records *service* time: what one
 ``simulate`` request spent queueing, coalescing, probing cache tiers,
 executing on a shard pool, and serializing its reply.  The shapes
@@ -9,7 +9,8 @@ Chrome-trace format — but span timestamps here are **integer
 nanoseconds** from :data:`repro.util.timing.default_clock_ns`, so a
 request's latency stack can sum to its wall latency exactly, the
 service-level analog of the paper's penalty decomposition summing to
-the measured misprediction penalty.
+the measured misprediction penalty. ``repro profile`` uses the same
+collector to time its layer boundaries (:func:`layer_table`).
 
 Identity is deterministic: ids are derived from a per-collector
 sequence number, never from a PRNG or the wall clock, so same-seed
@@ -549,12 +550,45 @@ def collapse_stacks(spans: Sequence[Dict[str, Any]]) -> List[str]:
     return [f"{path} {value}" for path, value in sorted(totals.items())]
 
 
+def layer_table(spans: Sequence[Dict[str, Any]]) -> str:
+    """Calls, seconds and share of total per span name, as a text table.
+
+    ``repro profile`` times each layer boundary as one span; rows sort
+    by seconds (descending), then name, and a ``total`` line closes the
+    table. Open spans are ignored.
+    """
+    seconds: Dict[str, float] = {}
+    calls: Dict[str, int] = {}
+    for record in spans:
+        if record.get("end_ns") is None:
+            continue
+        name = str(record["name"])
+        duration_ns = max(0, int(record["end_ns"]) - int(record["start_ns"]))
+        seconds[name] = seconds.get(name, 0.0) + duration_ns / 1e9
+        calls[name] = calls.get(name, 0) + 1
+    if not seconds:
+        return "(no spans recorded)\n"
+    names = sorted(seconds, key=lambda name: (-seconds[name], name))
+    total = sum(seconds.values())
+    width = max(len(name) for name in names)
+    lines = [f"{'layer'.ljust(width)}  {'calls':>10}  {'seconds':>10}  {'share':>6}"]
+    for name in names:
+        share = seconds[name] / total if total > 0 else 0.0
+        lines.append(
+            f"{name.ljust(width)}  {calls[name]:>10}"
+            f"  {seconds[name]:>10.4f}  {share:>5.1%}"
+        )
+    lines.append(f"{'total'.ljust(width)}  {'':>10}  {total:>10.4f}")
+    return "\n".join(lines) + "\n"
+
+
 __all__ = [
     "SPAN_STATUSES",
     "STACK_COMPONENTS",
     "SpanCollector",
     "SpanRecord",
     "collapse_stacks",
+    "layer_table",
     "fold_latency_stack",
     "merge_span_snapshots",
     "span_from_dict",

@@ -1,16 +1,16 @@
 """Structured event tracing for the simulators.
 
-The first pillar of ``repro.obs``. The simulators emit one
-:class:`MissSpan` per miss event — for a branch mispredict, the span
-runs from dispatch through resolution to the end of the frontend
-refill, so its duration *is* the penalty the paper decomposes — plus
-:class:`InstantEvent` markers at interval boundaries.
+The first pillar of ``repro.obs``. A trace is the miss events of the
+observed simulations — the same :class:`~repro.pipeline.events.MissEvent`
+records a :class:`~repro.pipeline.result.SimulationResult` carries,
+appended once per finished run by :func:`repro.obs.runtime.observe` —
+plus :class:`InstantEvent` markers at interval boundaries. The exports
+(:mod:`repro.obs.export`) draw each event as a timeline span: a branch
+mispredict runs from dispatch through resolution to the end of the
+frontend refill, so its duration *is* the penalty the paper decomposes.
 
-``Tracer`` is the no-op default: every hook is a ``pass``, and hot
-paths additionally guard on ``runtime.current_tracer() is None`` so a
-disabled run pays nothing but a handful of ``is not None`` checks.
-``RecordingTracer`` buffers everything in memory for export
-(:mod:`repro.obs.export`) or direct inspection in tests.
+``Tracer`` is the no-op default. ``RecordingTracer`` buffers everything
+in memory for export or direct inspection in tests.
 
 All timestamps are simulated cycles, never wall-clock.
 """
@@ -18,49 +18,12 @@ All timestamps are simulated cycles, never wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Union
 
-#: Span kinds, mirroring the three miss event classes the paper studies.
-KIND_BPRED = "bpred"
-KIND_ICACHE = "icache"
-KIND_LONG_DMISS = "long_dmiss"
-
-SPAN_KINDS: Tuple[str, ...] = (KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS)
+if TYPE_CHECKING:
+    from repro.pipeline.events import MissEvent
 
 ArgValue = Union[int, float, str]
-
-
-@dataclass(frozen=True)
-class MissSpan:
-    """One miss event as a timeline span, in simulated cycles.
-
-    For a branch mispredict (``kind == "bpred"``) the span decomposes as
-    dispatch → resolve (``resolution`` cycles of in-flight execution)
-    followed by ``refill_cycles`` of frontend refill after the redirect,
-    so ``duration`` equals the recorded penalty. I-cache and long D-cache
-    miss spans carry ``refill_cycles == 0`` and their duration is just
-    the miss latency.
-    """
-
-    kind: str
-    seq: int
-    dispatch_cycle: int
-    resolve_cycle: int
-    refill_cycles: int = 0
-    window_occupancy: int = 0
-    wrong_path_instructions: int = 0
-
-    @property
-    def resolution(self) -> int:
-        return self.resolve_cycle - self.dispatch_cycle
-
-    @property
-    def end_cycle(self) -> int:
-        return self.resolve_cycle + self.refill_cycles
-
-    @property
-    def duration(self) -> int:
-        return self.end_cycle - self.dispatch_cycle
 
 
 @dataclass(frozen=True)
@@ -77,7 +40,7 @@ class Tracer:
 
     enabled = False
 
-    def miss_span(self, span: MissSpan) -> None:
+    def record(self, events: Iterable["MissEvent"]) -> None:
         pass
 
     def instant(self, name: str, cycle: int, **args: ArgValue) -> None:
@@ -85,28 +48,28 @@ class Tracer:
 
 
 class RecordingTracer(Tracer):
-    """Buffers spans and instants in memory, in emission order."""
+    """Buffers miss events and instants in memory, in emission order."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self.spans: List[MissSpan] = []
+        self.events: List["MissEvent"] = []
         self.instants: List[InstantEvent] = []
 
-    def miss_span(self, span: MissSpan) -> None:
-        self.spans.append(span)
+    def record(self, events: Iterable["MissEvent"]) -> None:
+        self.events.extend(events)
 
     def instant(self, name: str, cycle: int, **args: ArgValue) -> None:
         self.instants.append(InstantEvent(name=name, cycle=cycle, args=args))
 
-    def spans_of_kind(self, kind: str) -> List[MissSpan]:
-        return [span for span in self.spans if span.kind == kind]
+    def events_of_kind(self, kind: str) -> List["MissEvent"]:
+        return [event for event in self.events if event.tag == kind]
 
     def counts(self) -> Dict[str, int]:
         tally: Dict[str, int] = {}
-        for span in self.spans:
-            tally[span.kind] = tally.get(span.kind, 0) + 1
+        for event in self.events:
+            tally[event.tag] = tally.get(event.tag, 0) + 1
         return tally
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
+        return len(self.events) + len(self.instants)

@@ -28,8 +28,10 @@ machinery, in three layers:
   field-for-field equal to the scalar core's, events and timelines
   included. The scalar core remains the oracle: configurations the
   kernel does not model (wrong-path ghost dispatch, the random-issue
-  ablation) and runs under ambient observability or sanitizing fall
-  back to it per config, keeping observable behavior identical.
+  ablation) and sanitized runs (the sanitizer checks invariants inside
+  the cycle loop) fall back to it per config. Tracing and metrics are
+  derived from each finished result by :func:`repro.obs.runtime.observe`,
+  so an observed batch still runs the kernel.
 
 The kernel also reports its **end state** (final frontend-ready cycle,
 last commit cycle, residual functional-unit reservations), which is
@@ -78,16 +80,6 @@ def batch_supported(config: CoreConfig) -> bool:
     core's ready-pool ordering.
     """
     return config.issue_policy == "oldest" and not config.dispatch_wrong_path
-
-
-def _observability_active() -> bool:
-    """Ambient tracer/metrics/profiler/sanitizer force the oracle path."""
-    return (
-        _obs.current_tracer() is not None
-        or _obs.current_metrics() is not None
-        or _obs.current_profiler() is not None
-        or _sanitizer.current() is not None
-    )
 
 
 class TraceColumns:
@@ -821,7 +813,7 @@ class BatchedSuperscalarCore:
             return [
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
-        oracle_all = _observability_active()
+        oracle_all = _sanitizer.current() is not None
         plan: Optional[BatchPlan] = None
         results: List[Optional[SimulationResult]] = [None] * len(configs)
         for index, config in enumerate(configs):
@@ -837,7 +829,9 @@ class BatchedSuperscalarCore:
                 config,
                 lat_total=plan.lat_column(index),
             )
-            results[index] = _assemble_result(output, config, n)
+            result = _assemble_result(output, config, n)
+            _obs.observe(result)
+            results[index] = result
         return results  # type: ignore[return-value]
 
 

@@ -35,12 +35,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import sanitizer as _sanitizer
+from repro.obs import runtime as _obs
 from repro.perf.batchcore import (
     TraceColumns,
     _CacheColumns,
     _FUTables,
     _assemble_result,
-    _observability_active,
     _simulate_columns,
     batch_supported,
 )
@@ -322,15 +323,19 @@ def simulate_sharded_detailed(
     """Sharded simulation plus the report of how it was cut.
 
     Configurations the SoA kernel does not model (wrong path, random
-    issue) and runs under ambient observability use the scalar core
-    unsharded — sharding is a performance feature, never a semantic
-    one. Dirty boundaries are healed by merging shards; the merged
+    issue) and sanitized runs use the scalar core unsharded — sharding
+    is a performance feature, never a semantic one. The stitched result
+    is observed once, like any other finished run. Dirty boundaries are healed by merging shards; the merged
     count lands in the report.
     """
     if config is None:
         config = CoreConfig()
     n = len(trace)
-    if n == 0 or not batch_supported(config) or _observability_active():
+    if (
+        n == 0
+        or not batch_supported(config)
+        or _sanitizer.current() is not None
+    ):
         return (
             SuperscalarCore(config).run(trace),
             ShardReport(spans=[(0, n)], checkpoints=[], fallback=True),
@@ -358,8 +363,10 @@ def simulate_sharded_detailed(
             cursor += 1
         pieces.append(piece)
         start = stop
+    result = stitch(pieces, config)
+    _obs.observe(result)
     return (
-        stitch(pieces, config),
+        result,
         ShardReport(
             spans=[(p.start, p.stop) for p in pieces],
             checkpoints=checkpoints_of(pieces, config),

@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar, Dict, Type
+
+#: Short tags naming the three event classes in stored payloads and
+#: trace exports.
+KIND_BPRED = "bpred"
+KIND_ICACHE = "icache"
+KIND_LONG_DMISS = "long_dmiss"
 
 
 class MissEventKind(enum.Enum):
@@ -26,6 +33,8 @@ class MissEvent:
     seq: int
     cycle: int  # cycle the event's instruction entered the window
 
+    tag: ClassVar[str]
+
     @property
     def kind(self) -> MissEventKind:
         raise NotImplementedError
@@ -40,11 +49,17 @@ class BranchMispredictEvent(MissEvent):
     misprediction penalty. ``window_occupancy`` is the number of
     instructions in the ROB when the branch dispatched — the quantity
     contributor C2 (instructions since last miss event) controls.
+    ``wrong_path_instructions`` counts the ghost instructions dispatched
+    behind the branch before it resolved; it is nonzero only in
+    wrong-path dispatch mode.
     """
 
     resolve_cycle: int = 0
     refill_cycles: int = 0
     window_occupancy: int = 0
+    wrong_path_instructions: int = 0
+
+    tag: ClassVar[str] = KIND_BPRED
 
     @property
     def kind(self) -> MissEventKind:
@@ -68,6 +83,8 @@ class ICacheMissEvent(MissEvent):
     latency: int = 0
     long_miss: bool = False  # True when the line came from memory
 
+    tag: ClassVar[str] = KIND_ICACHE
+
     @property
     def kind(self) -> MissEventKind:
         return MissEventKind.ICACHE_MISS
@@ -79,6 +96,8 @@ class LongDMissEvent(MissEvent):
 
     complete_cycle: int = 0
 
+    tag: ClassVar[str] = KIND_LONG_DMISS
+
     @property
     def kind(self) -> MissEventKind:
         return MissEventKind.LONG_DCACHE_MISS
@@ -86,3 +105,9 @@ class LongDMissEvent(MissEvent):
     @property
     def latency(self) -> int:
         return self.complete_cycle - self.cycle
+
+
+#: Event class by tag, for decoding stored payloads.
+EVENT_CLASSES: Dict[str, Type[MissEvent]] = {
+    cls.tag: cls for cls in (BranchMispredictEvent, ICacheMissEvent, LongDMissEvent)
+}

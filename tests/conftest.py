@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.analysis import sanitizer
 from repro.obs import runtime as obs_runtime
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -18,6 +21,17 @@ def _obs_isolated():
     obs_runtime.reset()
     yield
     obs_runtime.reset()
+
+
+@pytest.fixture(autouse=True)
+def _sanitizer_isolated(monkeypatch):
+    """No test inherits (or leaks) an ambient sanitizer: ``enable()``
+    exports ``REPRO_SANITIZE``, which ``reset()`` leaves in place."""
+    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+    sanitizer.reset()
+    yield
+    sanitizer.reset()
+    os.environ.pop(sanitizer.ENV_VAR, None)
 
 
 @pytest.fixture(autouse=True)

@@ -78,14 +78,14 @@ def test_mean_penalty_is_mean_resolution_plus_depth(simulated):
 
 
 def test_tracer_observes_the_identity_per_event():
-    """Every traced span independently reproduces the penalty identity.
+    """Every traced mispredict independently reproduces the penalty identity.
 
-    The tracer records dispatch/resolve/refill per mispredict as the
-    pipeline runs; resolve − dispatch + frontend_depth must equal the
-    penalty the event log recorded — for every event, not on average.
+    The tracer records dispatch/resolve/refill per mispredict; resolve −
+    dispatch + frontend_depth must equal the penalty the event log
+    recorded — for every event, not on average.
     """
     from repro.obs import runtime as obs_runtime
-    from repro.obs.tracer import KIND_BPRED
+    from repro.pipeline.events import KIND_BPRED
     from repro.trace.synthetic import generate_trace
 
     config = CoreConfig()
@@ -101,16 +101,16 @@ def test_tracer_observes_the_identity_per_event():
         for event in result.events
         if isinstance(event, BranchMispredictEvent)
     }
-    spans = tracer.spans_of_kind(KIND_BPRED)
-    assert len(spans) == len(events) > 0
-    for span in spans:
+    traced = tracer.events_of_kind(KIND_BPRED)
+    assert len(traced) == len(events) > 0
+    for span in traced:
         event = events[span.seq]
-        assert span.resolve_cycle - span.dispatch_cycle == event.resolution
+        assert span.resolve_cycle - span.cycle == event.resolution
         assert (
-            span.resolve_cycle - span.dispatch_cycle + config.frontend_depth
+            span.resolve_cycle - span.cycle + config.frontend_depth
             == event.penalty
         )
-        assert span.duration == event.penalty
+        assert span.penalty == event.penalty
 
 
 def test_fast_estimate_obeys_the_same_identity(simulated):

@@ -37,6 +37,15 @@ class TestSimulationResultCodec:
         assert decoded.rob_peak_occupancy == sim_result.rob_peak_occupancy
         assert decoded.squashed_ghosts == sim_result.squashed_ghosts
 
+    def test_ghost_counts_stored_only_when_nonzero(self):
+        trace = generate_trace(SPEC_PROFILES["gzip"], 2_000, seed=9)
+        plain = result_to_payload(simulate(trace, CoreConfig()))
+        assert not any("wrong_path_instructions" in e for e in plain["events"])
+        ghosted = simulate(trace, CoreConfig(dispatch_wrong_path=True))
+        payload = result_to_payload(ghosted)
+        assert any("wrong_path_instructions" in e for e in payload["events"])
+        assert result_from_payload(payload).events == ghosted.events
+
     def test_roundtrip_survives_json(self, sim_result):
         import json
 

@@ -18,6 +18,7 @@ from repro.obs.spans import (
     SpanCollector,
     collapse_stacks,
     fold_latency_stack,
+    layer_table,
     merge_span_snapshots,
     span_from_dict,
 )
@@ -266,3 +267,39 @@ class TestExports:
         c.finish(span, status="error")
         rebuilt = span_from_dict(span.as_dict())
         assert rebuilt.as_dict() == span.as_dict()
+
+
+def _layer(name, seconds, start_ns=0):
+    return {"name": name, "start_ns": start_ns,
+            "end_ns": start_ns + int(seconds * 1e9)}
+
+
+class TestLayerTable:
+    def test_layer_table_sums_calls_and_seconds_per_name(self):
+        table = layer_table([_layer("simulate", 0.5), _layer("simulate", 0.25)])
+        row = table.splitlines()[1].split()
+        assert row == ["simulate", "2", "0.7500", "100.0%"]
+
+    def test_layer_spans_use_the_injected_clock(self):
+        c = collector(clock_ns=Tick(step=2_000_000_000))
+        span = c.start("simulate", trace_id="t", parent_id=None)
+        c.finish(span)
+        row = layer_table(c.drain()).splitlines()[1].split()
+        assert row[:3] == ["simulate", "1", "2.0000"]
+
+    def test_layer_table_sorted_by_seconds_then_name(self):
+        table = layer_table([
+            _layer("a.tied", 1.0), _layer("b.slow", 2.0), _layer("z.tied", 1.0),
+        ])
+        names = [line.split()[0] for line in table.splitlines()[1:-1]]
+        assert names == ["b.slow", "a.tied", "z.tied"]
+
+    def test_layer_table_contains_shares_and_total(self):
+        text = layer_table([_layer("simulate", 3.0), _layer("analyze", 1.0)])
+        assert "75.0%" in text
+        assert text.strip().splitlines()[-1].startswith("total")
+        assert text.endswith("\n")
+
+    def test_layer_table_of_no_spans_renders_placeholder(self):
+        open_span = {"name": "simulate", "start_ns": 0, "end_ns": None}
+        assert "no spans" in layer_table([open_span])

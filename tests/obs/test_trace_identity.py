@@ -1,9 +1,8 @@
 """The traced timeline must agree, event for event, with the simulator.
 
-This is the acceptance property of the observability PR: a seeded run
-produces exactly one complete span per mispredicted branch, and every
-span's duration equals its resolution time plus the frontend refill —
-i.e. the recorded penalty.
+A seeded run traces exactly one event per miss event of its result,
+and every mispredict's exported span lasts its resolution time plus
+the frontend refill — i.e. the recorded penalty.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ import pytest
 from repro.obs import runtime
 from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.metrics import render_snapshot
-from repro.obs.tracer import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
+from repro.pipeline.events import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
@@ -57,15 +56,15 @@ def test_one_span_per_miss_event(inorder):
 @pytest.mark.parametrize("inorder", [False, True], ids=["ooo", "inorder"])
 def test_span_duration_is_resolution_plus_refill(inorder):
     config, result, tracer, _ = _traced_run(inorder=inorder)
-    spans = tracer.spans_of_kind(KIND_BPRED)
+    traced = tracer.events_of_kind(KIND_BPRED)
     events = sorted(result.mispredict_events, key=lambda e: e.seq)
-    by_seq = {span.seq: span for span in spans}
+    by_seq = {event.seq: event for event in traced}
     assert len(by_seq) == len(events)
     for event in events:
         span = by_seq[event.seq]
         assert span.refill_cycles == config.frontend_depth
-        assert span.duration == span.resolution + span.refill_cycles
-        assert span.duration == event.penalty
+        assert span.penalty == span.resolution + span.refill_cycles
+        assert span.penalty == event.penalty
         assert span.resolution == event.resolution
 
 

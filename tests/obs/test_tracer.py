@@ -15,21 +15,20 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import (
+from repro.obs.tracer import RecordingTracer, Tracer
+from repro.pipeline.events import (
     KIND_BPRED,
     KIND_ICACHE,
-    KIND_LONG_DMISS,
-    MissSpan,
-    RecordingTracer,
-    Tracer,
+    BranchMispredictEvent,
+    ICacheMissEvent,
+    LongDMissEvent,
 )
 
 
-def _bpred_span(seq=5, dispatch=100, resolve=120, refill=5):
-    return MissSpan(
-        kind=KIND_BPRED,
+def _bpred_event(seq=5, dispatch=100, resolve=120, refill=5):
+    return BranchMispredictEvent(
         seq=seq,
-        dispatch_cycle=dispatch,
+        cycle=dispatch,
         resolve_cycle=resolve,
         refill_cycles=refill,
         window_occupancy=12,
@@ -39,25 +38,23 @@ def _bpred_span(seq=5, dispatch=100, resolve=120, refill=5):
 
 class TestSpans:
     def test_span_arithmetic(self):
-        span = _bpred_span()
-        assert span.resolution == 20
-        assert span.end_cycle == 125
-        assert span.duration == 25  # resolution + refill == the penalty
+        event = _bpred_event()
+        assert event.resolution == 20
+        assert event.penalty == 25  # resolution + refill
 
     def test_noop_tracer_swallows_everything(self):
         tracer = Tracer()
-        tracer.miss_span(_bpred_span())
+        tracer.record([_bpred_event()])
         tracer.instant("interval_boundary", cycle=3)
         assert not tracer.enabled
 
     def test_recording_tracer_buffers_in_order(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span(seq=1))
-        tracer.miss_span(MissSpan(KIND_ICACHE, 2, 10, 20))
+        tracer.record([_bpred_event(seq=1), ICacheMissEvent(2, 10, latency=10)])
         tracer.instant("interval_boundary", cycle=20, seq=2)
         assert len(tracer) == 3
         assert tracer.counts() == {KIND_BPRED: 1, KIND_ICACHE: 1}
-        assert [s.seq for s in tracer.spans_of_kind(KIND_BPRED)] == [1]
+        assert [e.seq for e in tracer.events_of_kind(KIND_BPRED)] == [1]
         assert tracer.instants[0].args == {"seq": 2}
 
 
@@ -65,10 +62,8 @@ class TestRuntime:
     def test_disabled_by_default(self):
         assert runtime.current_tracer() is None
         assert runtime.current_metrics() is None
-        assert runtime.current_profiler() is None
         assert runtime.drain_trace() is None
         assert runtime.drain_metrics() is None
-        assert runtime.drain_profile() is None
 
     def test_enable_exports_env_for_workers(self):
         runtime.enable_tracing()
@@ -83,7 +78,7 @@ class TestRuntime:
 
     def test_drain_opens_a_fresh_window(self):
         runtime.enable_tracing()
-        runtime.current_tracer().miss_span(_bpred_span())
+        runtime.current_tracer().record([_bpred_event()])
         first = runtime.drain_trace()
         assert first is not None and len(first) == 1
         assert runtime.drain_trace() is None  # window is fresh
@@ -110,8 +105,7 @@ class TestRuntime:
 class TestChromeExport:
     def _tracer(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span())
-        tracer.miss_span(MissSpan(KIND_LONG_DMISS, 9, 50, 300))
+        tracer.record([_bpred_event(), LongDMissEvent(9, 50, complete_cycle=300)])
         tracer.instant("interval_boundary", cycle=125, seq=5)
         return tracer
 
@@ -152,7 +146,7 @@ class TestChromeExport:
 class TestJsonlExport:
     def test_one_record_per_span_and_instant(self, tmp_path):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span())
+        tracer.record([_bpred_event()])
         tracer.instant("interval_boundary", cycle=9, kind="bpred")
         path = tmp_path / "trace.jsonl"
         assert write_jsonl(tracer, path) == 2
@@ -166,7 +160,7 @@ class TestJsonlExport:
 
     def test_records_match_spans(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span(seq=3))
+        tracer.record([_bpred_event(seq=3)])
         (record,) = jsonl_records(tracer)
         assert record["seq"] == 3
         assert record["wrong_path_instructions"] == 7

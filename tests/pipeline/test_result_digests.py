@@ -51,8 +51,16 @@ DIGESTS = {
     ("ooo", "mcf"): "7aa3c43bfeec03f274a1f1ed2b20fbef3d45daab0207061938f33f71a54686eb",
     ("random", "gzip"): "63fee427d8bccdc1dea1e0625b23954f821ccfcd8338ecece92a7a72c320e686",
     ("random", "mcf"): "c3b9494db7e54ff43346d4ade8ab2cf5c8250bc96f249c677ebed6ed9ff8f62a",
-    ("wrongpath", "gzip"): "0d9bef8a3a7bb453734c57461619f310eac208157934b4c7048e4bdd6f33a43c",
-    ("wrongpath", "mcf"): "356105f78f3432148fda17f366316b2f26b97d42ca44b622e197df6fa8bf5f1f",
+    ("wrongpath", "gzip"): "745bcafff3e72a6423afb68ea6e52de87b220a72e01d779c39c8580db7c02e92",
+    ("wrongpath", "mcf"): "ca9d69405371a055422216ff7b2aa31859435912a5eeec9ca021cd266d462fec",
+}
+
+#: Wrong-path digests from before mispredict events carried their ghost
+#: counts (``wrong_path_instructions``, stored only when nonzero).
+#: Dropping that one key must reproduce them byte for byte.
+WRONGPATH_DIGESTS_WITHOUT_GHOST_COUNTS = {
+    "gzip": "0d9bef8a3a7bb453734c57461619f310eac208157934b4c7048e4bdd6f33a43c",
+    "mcf": "356105f78f3432148fda17f366316b2f26b97d42ca44b622e197df6fa8bf5f1f",
 }
 
 
@@ -61,10 +69,13 @@ def _trace(workload: str):
     return generate_trace(SPEC_PROFILES[workload], LENGTH, seed=SEED)
 
 
-def payload_digest(core: str, workload: str) -> str:
-    payload = result_to_payload(CORES[core](_trace(workload)))
+def _digest(payload) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def payload_digest(core: str, workload: str) -> str:
+    return _digest(result_to_payload(CORES[core](_trace(workload))))
 
 
 @pytest.mark.parametrize("workload", ["gzip", "mcf"])
@@ -72,6 +83,16 @@ def payload_digest(core: str, workload: str) -> str:
 def test_result_payload_digest_is_pinned(core, workload):
     pinned = DIGESTS[(SAME_AS.get(core, core), workload)]
     assert payload_digest(core, workload) == pinned
+
+
+@pytest.mark.parametrize("workload", ["gzip", "mcf"])
+def test_ghost_counts_are_the_only_wrong_path_payload_change(workload):
+    payload = result_to_payload(CORES["wrongpath"](_trace(workload)))
+    ghost_counts = [
+        event.pop("wrong_path_instructions", 0) for event in payload["events"]
+    ]
+    assert sum(ghost_counts) > 0
+    assert _digest(payload) == WRONGPATH_DIGESTS_WITHOUT_GHOST_COUNTS[workload]
 
 
 if __name__ == "__main__":

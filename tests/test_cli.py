@@ -255,10 +255,15 @@ class TestProfile:
         assert main(["profile", "--workload", "gzip",
                      "--length", "2000", "--fast"]) == 0
         out = capsys.readouterr().out
-        assert "cli.simulate" in out
-        assert "core.dispatch" in out
-        assert "fast_sim.estimate" in out
+        layers = {line.split()[0] for line in out.splitlines()[1:]}
+        assert {"trace_gen", "simulate", "analyze", "fast", "total"} <= layers
         assert "share" in out
+
+    def test_profile_inorder_core(self, capsys):
+        assert main(["profile", "--workload", "gzip", "--length", "2000",
+                     "--fast", "--inorder"]) == 0
+        out = capsys.readouterr().out
+        assert "simulate" in out and "fast" in out and "share" in out
 
 
 class TestLabFsck:
