@@ -20,7 +20,6 @@ from repro.perf.batchcore import run_batch
 from repro.perf.checkpoint import simulate_sharded
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import SuperscalarCore, simulate
-from repro.pipeline.events import EVENT_CLASSES
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
@@ -85,14 +84,6 @@ def test_observe_records_nothing_when_disabled(trace):
     runtime.observe(simulate(trace, CoreConfig()))
     assert runtime.drain_trace() is None
     assert runtime.drain_metrics() is None
-
-
-def test_event_tags_name_their_classes():
-    assert {tag: cls.tag for tag, cls in EVENT_CLASSES.items()} == {
-        "bpred": "bpred",
-        "icache": "icache",
-        "long_dmiss": "long_dmiss",
-    }
 
 
 def _in_simulation_loop(tree, target) -> bool:
