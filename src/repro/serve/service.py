@@ -15,8 +15,8 @@ Request path for ``simulate``:
    requests arriving in one scheduling window always collapse to one
    computation, deterministically;
 3. **tiered cache** (:class:`repro.serve.cache.TieredCache`): tier-0
-   LRU, then the verified store, then further backends — a warm
-   request never touches a shard (``serve.cache_hits_<tier>_total``);
+   LRU, then the verified store — a warm request never touches a
+   shard (``serve.cache_hits_<tier>_total``);
 4. **shard dispatch**: route by content address, journal write-ahead,
    execute on the shard's worker (``serve.pool_executions_total``). If
    the shard's worker dies mid-job (``BrokenProcessPool``), the shard
@@ -66,8 +66,6 @@ from repro.serve.admission import (
 from repro.serve.cache import (
     DEFAULT_TIER0_BYTES,
     DEFAULT_TIER0_ITEMS,
-    DirectoryBackend,
-    StoreBackend,
     TieredCache,
     json_sizeof,
 )
@@ -109,7 +107,6 @@ class ExperimentService:
         n_shards: int = 2,
         tier0_items: int = DEFAULT_TIER0_ITEMS,
         tier0_bytes: Optional[int] = DEFAULT_TIER0_BYTES,
-        dir_cache: Optional[Union[str, Path]] = None,
         service_id: Optional[str] = None,
         use_cache: bool = True,
         watchdog_policy: Optional[WatchdogPolicy] = None,
@@ -124,13 +121,9 @@ class ExperimentService:
         self.service_id = service_id or f"serve-{uuid.uuid4().hex[:10]}"
         self.use_cache = use_cache
         self.metrics = MetricsRegistry()
-        backends = [StoreBackend(self.store)]
-        if dir_cache is None:
-            dir_cache = self.store.root / "serve" / "l2"
-        backends.append(DirectoryBackend(dir_cache))
         self.cache = TieredCache(
             LRUCache(tier0_items, max_bytes=tier0_bytes, sizeof=json_sizeof),
-            backends,
+            self.store,
         )
         self.shards = ShardSet(
             n_shards,

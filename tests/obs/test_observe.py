@@ -17,7 +17,6 @@ import pytest
 from repro.obs import runtime
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.perf.batchcore import run_batch
-from repro.perf.checkpoint import simulate_sharded
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import SuperscalarCore, simulate
 from repro.trace.synthetic import generate_trace
@@ -68,16 +67,6 @@ def test_observed_batch_runs_the_kernel_and_matches_scalar(
     )
     assert batch_metrics == scalar_metrics
     assert batch_metrics["counters"]["core.instructions_total"] == 3 * len(trace)
-
-
-def test_sharded_run_is_observed_like_the_unsharded_one(trace, tmp_path):
-    config = CoreConfig()
-    whole_tracer, whole_metrics = _observed(lambda: simulate(trace, config))
-    shard_tracer, shard_metrics = _observed(
-        lambda: simulate_sharded(trace, config, shards=4)
-    )
-    assert shard_tracer.events == whole_tracer.events
-    assert shard_metrics == whole_metrics
 
 
 def test_observe_records_nothing_when_disabled(trace):

@@ -321,9 +321,11 @@ class TestServiceIntegration:
 
 class TestTier0AdmissionCap:
     def test_cap_blocks_large_payloads_from_tier0_only(self, tmp_path):
+        from repro.lab.store import ResultStore
         from repro.serve.cache import TieredCache, json_sizeof
 
-        cache = TieredCache()
+        store = ResultStore(root=tmp_path / "cache")
+        cache = TieredCache(None, store)
         big = {"x": "y" * 4096}
         small = {"x": 1}
         cache.tier0_admit_bytes = 64
@@ -331,6 +333,7 @@ class TestTier0AdmissionCap:
         cache.store("b" * 64, small)
         assert cache.tier0.get("a" * 64) is None
         assert cache.tier0.get("b" * 64) == small
+        assert store.get("a" * 64) == big  # the store still takes it
         assert json_sizeof(big) > 64 >= json_sizeof(small)
         cache.tier0_admit_bytes = None
         cache.store("a" * 64, big)

@@ -104,15 +104,32 @@ class TestCacheTiers:
         finally:
             fresh.close()
 
-    def test_dir_tier_survives_store_loss(self, service):
+    def test_store_loss_recomputes_identical_bytes(self, service):
         cold = run(service.handle(dict(WORKLOAD)))
-        key = cold["meta"]["key"]
         service.cache.tier0.clear()
         service.store.gc(clear=True)
-        warm = run(service.handle(dict(WORKLOAD)))
-        assert warm["ok"] and warm["meta"]["source"] == "dir"
-        assert warm["meta"]["key"] == key
-        assert counters(service)["serve.pool_executions_total"] == 1
+        again = run(service.handle(dict(WORKLOAD)))
+        assert again["ok"] and again["meta"]["source"] == "pool"
+        assert again["meta"]["key"] == cold["meta"]["key"]
+        assert json.dumps(again["result"], sort_keys=True) == json.dumps(
+            cold["result"], sort_keys=True
+        )
+        assert counters(service)["serve.pool_executions_total"] == 2
+
+    def test_failing_store_write_does_not_fail_the_request(
+        self, service, monkeypatch
+    ):
+        calls = []
+
+        def broken_put(*args, **kwargs):
+            calls.append(args[0])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(service.store, "put", broken_put)
+        response = run(service.handle(dict(WORKLOAD)))
+        assert response["ok"] and response["meta"]["source"] == "pool"
+        assert calls == [response["meta"]["key"]]
+        assert counters(service)["serve.errors_total"] == 0
 
 
 class TestShardingAndOps:
@@ -147,7 +164,7 @@ class TestShardingAndOps:
     def test_status_and_ping_and_bad_request(self, service):
         assert run(service.handle({"op": "ping"}))["result"] == "pong"
         status = run(service.handle({"op": "status"}))["result"]
-        assert status["tiers"] == ["tier0", "store", "dir"]
+        assert status["tiers"] == ["tier0", "store"]
         assert len(status["shards"]) == 2
         bad = run(service.handle({"op": "simulate"}))  # no workload
         assert not bad["ok"]
