@@ -40,11 +40,17 @@ class OpClass(enum.Enum):
 
     @property
     def is_memory(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.STORE)
+        return self in _MEMORY_CLASSES
 
     @property
     def is_control(self) -> bool:
-        return self in (OpClass.BRANCH, OpClass.JUMP)
+        return self in _CONTROL_CLASSES
+
+
+# Module-level, so a membership test does not look members up through
+# the enum class on every call (every TraceRecord asks is_memory).
+_MEMORY_CLASSES = (OpClass.LOAD, OpClass.STORE)
+_CONTROL_CLASSES = (OpClass.BRANCH, OpClass.JUMP)
 
 
 class Opcode(enum.Enum):

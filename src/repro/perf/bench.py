@@ -1,9 +1,10 @@
 """The ``repro bench`` throughput harness and its regression baseline.
 
 Measures instruction throughput (instr/sec) of the simulator's main
-paths — detailed core, scalar and vectorized interval simulation,
-scalar and vectorized predictor replay, pack/unpack — and writes the
-results to ``BENCH_simulator.json``.
+paths — trace generation (scalar oracle and columnar), detailed core,
+scalar and vectorized interval simulation, scalar and vectorized
+predictor replay, pack/unpack — and writes the results to
+``BENCH_simulator.json``.
 
 Raw instr/sec numbers are machine-bound, so the harness also measures a
 fixed pure-Python + NumPy **calibration workload** and records every
@@ -39,7 +40,7 @@ from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.synthetic import generate_trace
+from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.util.timing import Stopwatch
 
 BENCH_SCHEMA_VERSION = 1
@@ -177,6 +178,18 @@ def run_benchmarks(
     def spec(name: str, fn: Callable[[], Any], items: int) -> None:
         specs.append((name, fn, items))
 
+    # Trace generation to the packed form: the scalar oracle draws one
+    # SplitMix value at a time and then packs; the columnar generator
+    # draws in NumPy blocks and is born packed.
+    spec(
+        "tracegen_scalar",
+        lambda: PackedTrace.pack(
+            SyntheticTraceGenerator(profile, seed=BENCH_SEED).generate(length)
+        ),
+        n,
+    )
+    spec("tracegen", lambda: generate_trace(profile, length, BENCH_SEED).pack(), n)
+
     # Detailed core: packed-annotation fast path vs per-record annotator.
     spec("detailed_core", lambda: simulate(trace, config), n)
     spec(
@@ -301,6 +314,7 @@ def run_benchmarks(
         "detailed_core": ratio("detailed_core", "detailed_core_scalar_annotate"),
         "detailed_core_batched": ratio("detailed_core_batched", "detailed_core"),
         "end_to_end": ratio("end_to_end_perf", "end_to_end_scalar"),
+        "tracegen": ratio("tracegen", "tracegen_scalar"),
     }
 
     return {

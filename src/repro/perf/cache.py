@@ -1,8 +1,9 @@
 """Content-addressed compiled-trace cache.
 
-Synthetic trace generation walks the SplitMix stream one instruction at
-a time; packing walks the records once more. Both are pure functions of
-``(profile, length, seed)``, so the lab's content-addressing applies:
+Synthetic trace generation builds the records and their packed columns
+in one pass, but still costs a Python loop over every instruction. It
+is a pure function of ``(profile, length, seed)``, so the lab's
+content-addressing applies:
 this module stores the *packed* form of a generated trace under a
 SHA-256 digest of the canonical profile plus the generation parameters,
 the pack schema version, and the lab code salt
@@ -234,7 +235,7 @@ class PackedTraceCache:
         self, profile: WorkloadProfile, length: int, seed: int
     ) -> PackedTrace:
         self._count("perf.pack_cache_builds_total")
-        return PackedTrace.pack(generate_trace(profile, length, seed))
+        return generate_trace(profile, length, seed).pack()
 
     @staticmethod
     def _count(name: str) -> None:

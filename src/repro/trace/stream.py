@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
 from repro.util.stats import Histogram
+
+if TYPE_CHECKING:
+    from repro.perf.packed import PackedTrace
 
 
 @dataclass
@@ -40,18 +43,31 @@ class TraceStatistics:
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceRecord` with metadata."""
+    """An ordered sequence of :class:`TraceRecord` with metadata.
+
+    ``packed`` hands over the trace's columnar form when the producer
+    built it alongside the records (the synthetic generator does), so
+    :meth:`pack` need not walk them; it must match the records.
+    """
 
     def __init__(
         self,
         records: Optional[Sequence[TraceRecord]] = None,
         name: str = "trace",
+        packed: Optional["PackedTrace"] = None,
     ):
         self.records: List[TraceRecord] = list(records) if records else []
         self.name = name
         self._version = 0
         self._stats_cache: Optional[TraceStatistics] = None
-        self._packed_cache = None
+        if packed is not None and (
+            len(packed) != len(self.records) or packed.name != name
+        ):
+            raise ValueError(
+                f"packed form {packed!r} does not match trace {name!r} "
+                f"of {len(self.records)} records"
+            )
+        self._packed_cache = packed
 
     @property
     def version(self) -> int:

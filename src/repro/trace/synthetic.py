@@ -252,5 +252,21 @@ class SyntheticTraceGenerator:
 
 
 def generate_trace(profile: WorkloadProfile, count: int, seed: int = 0) -> Trace:
-    """Convenience wrapper: one-shot trace generation."""
-    return SyntheticTraceGenerator(profile, seed=seed).generate(count)
+    """One-shot trace generation, born packed.
+
+    Bit-identical to ``SyntheticTraceGenerator(profile, seed).generate(
+    count)``, which stays as the scalar oracle. SplitMix is counter-based,
+    so each child stream is drawn in NumPy blocks: the op-class and
+    i-cache streams take one draw per record and are decided outright;
+    the dependence, branch and memory logic carries state from record
+    to record and runs as a loop over the precomputed draws, consumed
+    by cursor. One pass per chunk of records builds both the records
+    and the :class:`~repro.perf.packed.PackedTrace` columns; see
+    :mod:`repro.trace.columnar`.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    # Imported here so that importing the package does not load NumPy.
+    from repro.trace.columnar import ColumnarGenerator
+
+    return ColumnarGenerator(profile, seed).generate(count)

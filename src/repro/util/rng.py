@@ -9,12 +9,26 @@ traces, identical miss events, and therefore identical measurements.
 convenient ``split`` operation for deriving independent child streams.
 We use it rather than ``random.Random`` where we want a stable algorithm
 that cannot change across Python versions.
+
+SplitMix64 is counter-based: output ``k`` of a generator seeded with
+``state`` is ``mix(state + (k + 1) * golden)``. :func:`splitmix_block`
+draws any run of outputs at once in NumPy, bit-identical to calling
+:meth:`SplitMix.next_u64` that many times, and :func:`unit_floats` is
+the vector form of :meth:`SplitMix.random`.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+#: Default cap of :meth:`SplitMix.geometric`.
+GEOMETRIC_CAP = 1 << 20
 
 
 def _mix(z: int) -> int:
@@ -22,6 +36,28 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+def splitmix_block(state: int, start: int, n: int) -> np.ndarray:
+    """Outputs ``start .. start + n - 1`` of ``SplitMix(state)`` as ``uint64``.
+
+    Wrapping ``uint64`` arithmetic stands in for the scalar ``& _MASK64``.
+    """
+    import numpy as np  # not at module level: importing repro stays NumPy-free
+
+    with np.errstate(over="ignore"):
+        counter = np.arange(start + 1, start + 1 + n, dtype=np.uint64)
+        z = counter * np.uint64(_GOLDEN) + np.uint64(state & _MASK64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def unit_floats(block: np.ndarray) -> np.ndarray:
+    """:meth:`SplitMix.random` of each raw output: ``(u >> 11) * 2**-53``."""
+    import numpy as np
+
+    return (block >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
 def derive_seed(base: int, *labels: object) -> int:
@@ -70,6 +106,12 @@ class SplitMix:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    @property
+    def state(self) -> int:
+        """The current state: ``splitmix_block(state, 0, n)`` yields the
+        next ``n`` outputs of :meth:`next_u64`."""
+        return self._state
+
     def next_u64(self) -> int:
         """Return the next raw 64-bit output."""
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -98,7 +140,7 @@ class SplitMix:
             return True
         return self.random() < p
 
-    def geometric(self, p: float, cap: int = 1 << 20) -> int:
+    def geometric(self, p: float, cap: int = GEOMETRIC_CAP) -> int:
         """Number of failures before the first success, capped.
 
         ``p`` is the per-trial success probability. The cap keeps a

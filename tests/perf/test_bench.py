@@ -148,4 +148,6 @@ def test_run_benchmarks_smoke(monkeypatch):
         "replay_local",
         "statistics",
         "end_to_end",
+        "tracegen",
     }
+    assert {"tracegen", "tracegen_scalar"} <= set(payload["benchmarks"])

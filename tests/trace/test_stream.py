@@ -152,3 +152,42 @@ class TestStatisticsMemoization:
     def test_memoized_statistics_match_fresh_computation(self):
         trace = Trace([_ialu(deps=(1,) if i else ()) for i in range(20)])
         assert trace.statistics() == trace._compute_statistics()
+
+
+class TestBornPacked:
+    def _packed(self, records, name):
+        from repro.perf.packed import PackedTrace
+
+        return PackedTrace.pack(Trace(records, name=name))
+
+    def test_packed_form_is_served_without_repacking(self, monkeypatch):
+        from repro.perf.packed import PackedTrace
+
+        records = [_ialu(), _branch(taken=True)]
+        packed = self._packed(records, "t")
+        trace = Trace(records, name="t", packed=packed)
+
+        def no_pack(cls, trace):
+            raise AssertionError("born-packed trace was repacked")
+
+        monkeypatch.setattr(PackedTrace, "pack", classmethod(no_pack))
+        assert trace.pack() is packed
+
+    def test_mutation_drops_the_packed_form(self):
+        records = [_ialu(), _branch(taken=True)]
+        packed = self._packed(records, "t")
+        trace = Trace(records, name="t", packed=packed)
+        trace.append(_ialu())
+        repacked = trace.pack()
+        assert repacked is not packed
+        assert len(repacked) == 3
+
+    def test_length_mismatch_rejected(self):
+        packed = self._packed([_ialu()], "t")
+        with pytest.raises(ValueError, match="does not match"):
+            Trace([_ialu(), _ialu()], name="t", packed=packed)
+
+    def test_name_mismatch_rejected(self):
+        packed = self._packed([_ialu()], "t")
+        with pytest.raises(ValueError, match="does not match"):
+            Trace([_ialu()], name="other", packed=packed)

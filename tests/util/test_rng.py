@@ -1,8 +1,11 @@
 """Unit tests for the deterministic RNG."""
 
+import numpy as np
 import pytest
 
-from repro.util.rng import SplitMix, derive_seed
+from repro.util.rng import SplitMix, derive_seed, splitmix_block, unit_floats
+
+BLOCK_SEEDS = [0, 1, 2006, 0x9E3779B97F4A7C15, (1 << 64) - 1]
 
 
 class TestSplitMix:
@@ -142,3 +145,52 @@ class TestDeriveSeed:
 
     def test_order_matters(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
+
+
+class TestSplitMixBlock:
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_matches_next_u64(self, seed):
+        block = splitmix_block(SplitMix(seed).state, 0, 300)
+        rng = SplitMix(seed)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [rng.next_u64() for _ in range(300)]
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_unit_floats_match_random(self, seed):
+        floats = unit_floats(splitmix_block(SplitMix(seed).state, 0, 300))
+        rng = SplitMix(seed)
+        assert floats.tolist() == [rng.random() for _ in range(300)]
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("span", [1, 3, 1 << 14, (1 << 63) + 5])
+    def test_modulus_matches_randint(self, seed, span):
+        block = splitmix_block(SplitMix(seed).state, 0, 200)
+        rng = SplitMix(seed)
+        expected = [rng.randint(7, 7 + span - 1) for _ in range(200)]
+        assert [7 + int(u) for u in block % np.uint64(span)] == expected
+
+    @pytest.mark.parametrize("label", ["ops", "deps", "branches", 5])
+    def test_split_children(self, label):
+        child = SplitMix(2006).split(label)
+        block = splitmix_block(child.state, 0, 100)
+        assert block.tolist() == [child.next_u64() for _ in range(100)]
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("start", [1, 17, 4096])
+    def test_nonzero_start(self, seed, start):
+        rng = SplitMix(seed)
+        for _ in range(start):
+            rng.next_u64()
+        block = splitmix_block(SplitMix(seed).state, start, 50)
+        assert block.tolist() == [rng.next_u64() for _ in range(50)]
+
+    def test_state_tracks_draws(self):
+        rng = SplitMix(9)
+        rng.next_u64()
+        rng.next_u64()
+        assert splitmix_block(rng.state, 0, 5).tolist() == splitmix_block(
+            SplitMix(9).state, 2, 5
+        ).tolist()
+
+    def test_empty_block(self):
+        assert len(splitmix_block(3, 10, 0)) == 0
