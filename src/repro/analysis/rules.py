@@ -516,8 +516,7 @@ class PerRecordLoopRule(Rule):
     door — unpacking a column store back to records to iterate them —
     so they are flagged too (``batchcore`` must go through
     :class:`~repro.perf.batchcore.TraceColumns`, never back to record
-    objects). The legitimate record walks — packing itself and
-    the scalar baselines the benchmarks measure against — carry
+    objects). The legitimate record walk — packing itself — carries
     ``# repro: noqa[PERF001]`` with a justification.
     """
 

@@ -1,6 +1,6 @@
 """Experiment harness: reproduces every table and figure in DESIGN.md.
 
-Each experiment (T1-T3, F1-F15) is a function in
+Each experiment (T1-T3, F1-F21) is a function in
 :mod:`repro.harness.experiments` returning an
 :class:`~repro.harness.experiment.ExperimentResult` whose rows are the
 table/series the paper reports. The benchmark files under
@@ -10,8 +10,6 @@ their rendered output; the examples call them directly.
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.figures import ascii_bar_chart, ascii_series
-from repro.harness.sweep import Sweep, sweep_values
-from repro.harness.replication import Replicated, replicate
 from repro.harness.runner import (
     baseline_config,
     clear_caches,
@@ -24,10 +22,6 @@ __all__ = [
     "ExperimentResult",
     "ascii_bar_chart",
     "ascii_series",
-    "Sweep",
-    "sweep_values",
-    "Replicated",
-    "replicate",
     "baseline_config",
     "clear_caches",
     "simulate_workload",

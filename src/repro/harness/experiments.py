@@ -1016,7 +1016,7 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
 
 
 def run_experiment(experiment_id: str) -> ExperimentResult:
-    """Run one experiment by id (``t1``..``t3``, ``f1``..``f15``)."""
+    """Run one experiment by id (``t1``..``t3``, ``f1``..``f21``)."""
     try:
         runner = EXPERIMENTS[experiment_id.lower()]
     except KeyError:

@@ -5,8 +5,8 @@ A :class:`PackedTrace` holds the same information as a
 but in columns: one structured array with a field per
 :class:`~repro.trace.record.TraceRecord` attribute, plus the dynamic
 dependence lists flattened into a CSR-style (indptr, data) pair. The
-vectorized kernels in this package operate on these columns instead of
-walking Python objects.
+annotation fast path and the batched core operate on these columns
+instead of walking Python objects.
 
 Encoding notes:
 
@@ -59,9 +59,6 @@ RECORD_DTYPE = np.dtype(
         ("dl2_miss", np.int8),
     ]
 )
-
-#: Bumped when the column encoding changes; folded into cache keys.
-PACK_SCHEMA_VERSION = 2  # 2: npz objects carry an embedded content checksum
 
 
 def _tri(value) -> int:
@@ -224,33 +221,6 @@ class PackedTrace:
             for i in range(len(cols))
         ]
         return Trace(records, name=self.name)
-
-    # -- array (de)serialization ------------------------------------------
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Plain-array form for ``np.savez`` (see :mod:`repro.perf.cache`)."""
-        return {
-            "columns": self.columns,
-            "dep_indptr": self.dep_indptr,
-            "dep_data": self.dep_data,
-            "name": np.asarray(self.name),
-            "schema": np.asarray(PACK_SCHEMA_VERSION),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "PackedTrace":
-        """Inverse of :meth:`to_arrays`; validates the schema version."""
-        schema = int(arrays["schema"])
-        if schema != PACK_SCHEMA_VERSION:
-            raise ValueError(
-                f"packed-trace schema {schema} != {PACK_SCHEMA_VERSION}"
-            )
-        return cls(
-            columns=np.asarray(arrays["columns"], dtype=RECORD_DTYPE),
-            dep_indptr=np.asarray(arrays["dep_indptr"], dtype=np.int64),
-            dep_data=np.asarray(arrays["dep_data"], dtype=np.int32),
-            name=str(arrays["name"]),
-        )
 
     def equals(self, other: "PackedTrace") -> bool:
         """Exact column equality (name included)."""

@@ -21,8 +21,8 @@ never bypass these helpers with a bare ``open(..., "w")``; this module
 is the rule's one exempt file.
 
 The module sits at the very bottom of the dependency stack (stdlib
-only) so the store, telemetry, journal, and perf cache can all import
-it without cycles.
+only) so the store, telemetry, and journal can all import it without
+cycles.
 """
 
 from __future__ import annotations

@@ -141,13 +141,9 @@ def test_run_benchmarks_smoke(monkeypatch):
     assert payload["machine_score"] > 0
     for entry in payload["benchmarks"].values():
         assert entry["normalized"] > 0
-    assert set(payload["speedups"]) >= {
-        "fast_sim",
-        "replay_bimodal",
-        "replay_gshare",
-        "replay_local",
-        "statistics",
-        "end_to_end",
+    assert set(payload["speedups"]) == {
+        "detailed_core",
+        "detailed_core_batched",
         "tracegen",
     }
     assert {"tracegen", "tracegen_scalar"} <= set(payload["benchmarks"])

@@ -43,7 +43,7 @@ class TestGrammar:
         assert rule.count == FOREVER
 
     def test_render_round_trips(self):
-        spec = "seed=7;store.write:corrupt@2x3;cache.npz:delay(0.25)"
+        spec = "seed=7;store.write:corrupt@2x3;job.execute:delay(0.25)"
         plan = parse_spec(spec)
         again = parse_spec(plan.render())
         assert again.seed == plan.seed
@@ -51,6 +51,7 @@ class TestGrammar:
 
     @pytest.mark.parametrize("bad", [
         "nosuch.site:raise",
+        "cache.npz:delay(0.25)",
         "store.read:explode",
         "store.read:raise@0",
         "store.read:raise@1x0",
